@@ -35,6 +35,10 @@ _SEED = 2008
 _REPEATS = 3
 #: The acceptance gate on coalescing (ISSUE: >= 3x at ~1k small requests).
 _SPEEDUP_GATE = 3.0
+#: Floor on batched wire rps over in-process drain rps, measured in the
+#: same run.  A delayed-ACK stall per frame sits near 0.02; one write
+#: per frame with TCP_NODELAY measures 0.15-0.34 on a 2-CPU host.
+_WIRE_RATIO_GATE = 0.08
 
 
 def _gate_workload():
@@ -129,8 +133,8 @@ def test_wire_throughput(report, record_scaling):
     Coalescing must still fire (the server submits a bulk frame's
     sub-requests before awaiting any result), and pipelined bursts
     must beat one-engine-call-per-request over the same socket.  The
-    absolute rps row tracks what serialization + loopback cost on top
-    of the in-process ``service/throughput`` row.
+    wire/in-process rps ratio, both measured here, bounds what framing,
+    serialization and loopback cost on top of the dispatcher.
     """
     from repro.service.loadgen import execute_wire
 
@@ -149,14 +153,18 @@ def test_wire_throughput(report, record_scaling):
         if serial is None or result.elapsed_s < serial.elapsed_s:
             serial = result
 
+    inproc = _best_drain(workload, max_batch=64)
+
     assert batched.batched_dispatches > 0, \
         "bulk frames never coalesced over the wire"
     speedup = serial.elapsed_s / batched.elapsed_s
+    wire_ratio = batched.throughput_rps / inproc.throughput_rps
 
     record_scaling("service/wire-throughput", seconds=batched.elapsed_s,
                    requests=batched.requests,
                    rps=round(batched.throughput_rps, 1),
                    speedup=round(speedup, 2),
+                   wire_ratio=round(wire_ratio, 3),
                    batched_dispatches=batched.batched_dispatches)
     report("Service — wire throughput",
            f"{batched.requests} small assigns over TCP loopback: "
@@ -164,9 +172,17 @@ def test_wire_throughput(report, record_scaling):
            f"({batched.throughput_rps:.0f} rps, "
            f"{batched.batched_dispatches} bulk dispatches), "
            f"per-request {serial.elapsed_s * 1e3:.0f} ms "
-           f"({serial.throughput_rps:.0f} rps) — {speedup:.2f}x")
-    # Serialization dominates both modes on loopback, so the wire gate
-    # is looser than the in-process 3x: pipelined coalescing must not
-    # lose materially to per-request dispatch over the same socket
-    # (0.9 absorbs scheduler noise; the trend row above is the signal).
+           f"({serial.throughput_rps:.0f} rps) — {speedup:.2f}x; "
+           f"{wire_ratio:.3f} of in-process drain "
+           f"({inproc.throughput_rps:.0f} rps)")
+    # Both modes pay the same per-frame JSON codec and loopback round
+    # trip, so the speedup gate is looser than the in-process 3x:
+    # pipelined coalescing must not lose materially to per-request
+    # dispatch over the same socket (0.9 absorbs scheduler noise).  A
+    # per-frame stall slows both modes alike, so only the ratio gate
+    # sees it: a frame sent as two writes waits ~23 ms on the peer's
+    # delayed ACK, which drags the ratio to ~0.02.
     assert speedup >= 0.9
+    assert wire_ratio >= _WIRE_RATIO_GATE, (
+        f"wire drains at {wire_ratio:.3f} of in-process rps "
+        f"(gate {_WIRE_RATIO_GATE}): is a frame waiting on a delayed ACK?")

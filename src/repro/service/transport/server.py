@@ -321,6 +321,10 @@ def _make_handler(sink: Any,
     """The per-connection frame loop, bound to one sink."""
 
     class _Handler(socketserver.StreamRequestHandler):
+        # TCP_NODELAY on every accepted socket: in a pipelined stream a
+        # reply must not wait for the ACK of the reply before it.
+        disable_nagle_algorithm = True
+
         def handle(self) -> None:
             with wire_server._context_lock:
                 context = wire_server._context.run(

@@ -88,6 +88,11 @@ REQUEST_OPS = frozenset({
 def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:
     """Serialize one frame onto a binary stream and flush it.
 
+    Header and body go out in one ``write``.  A server's socket file
+    is unbuffered, so two writes would be two TCP segments, and the
+    second would wait on the peer's delayed ACK under Nagle's
+    algorithm — tens of milliseconds per reply on loopback.
+
     Raises:
         TransportError: when the payload is not strict-JSON-able or
             the peer is gone (broken pipe, closed socket, timeout).
@@ -104,8 +109,7 @@ def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:
             f"frame of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound")
     try:
-        stream.write(_MAGIC + str(len(body)).encode("ascii") + b"\n")
-        stream.write(body)
+        stream.write(b"%s%d\n%s" % (_MAGIC, len(body), body))
         stream.flush()
     except (OSError, ValueError) as error:
         raise TransportError(
@@ -168,11 +172,20 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 
 # -- canonical value forms ---------------------------------------------
 def _canonical_points(points: Any) -> list[list[int]]:
-    return [[int(coord) for coord in point] for point in points]
+    return [list(map(int, point)) for point in points]
 
 
 def _decode_points(data: Any) -> list[tuple[int, ...]]:
-    return [tuple(int(coord) for coord in point) for point in data]
+    return [tuple(map(int, point)) for point in data]
+
+
+def _decode_pair(data: Any) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    points = _decode_points(data)
+    if len(points) != 2:
+        raise TransportError(
+            f"malformed collision pair: expected 2 points, got "
+            f"{len(points)}")
+    return points[0], points[1]
 
 
 def encode_window(window: Any) -> dict[str, Any] | None:
@@ -185,8 +198,7 @@ def encode_window(window: Any) -> dict[str, Any] | None:
     if window is None:
         return None
     if isinstance(window, Box):
-        return {"box": [_canonical_points([window.lo])[0],
-                        _canonical_points([window.hi])[0]]}
+        return {"box": _canonical_points([window.lo, window.hi])}
     return {"points": _canonical_points(window)}
 
 
@@ -199,7 +211,7 @@ def decode_window(data: Any) -> Any:
             f"{type(data).__name__}")
     if "box" in data:
         lo, hi = data["box"]
-        return Box(tuple(int(c) for c in lo), tuple(int(c) for c in hi))
+        return Box(tuple(map(int, lo)), tuple(map(int, hi)))
     if "points" in data:
         return _decode_points(data["points"])
     raise TransportError(
@@ -295,7 +307,7 @@ def encode_request(op: str, session_id: str | None = None,
         encoded["window"] = encode_window(payload.get("window"))
     elif op == "edit":
         encoded["updates"] = [
-            [_canonical_points([point])[0], int(slot)]
+            [list(map(int, point)), int(slot)]
             for point, slot in dict(payload.get("updates", {})).items()]
     elif op == "load":
         encoded["text"] = str(payload["text"])
@@ -392,7 +404,7 @@ def _decode_payload(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     if op == "restrict":
         return {"window": decode_window(payload.get("window"))}
     if op == "edit":
-        return {"updates": {tuple(int(c) for c in point): int(slot)
+        return {"updates": {tuple(map(int, point)): int(slot)
                             for point, slot in payload.get("updates", ())}}
     if op == "load":
         return {"text": str(payload["text"]),
@@ -421,8 +433,7 @@ def encode_result(result: Any) -> dict[str, Any]:
                 "backend": result.backend}
     if isinstance(result, VerificationReport):
         return {"kind": "verify",
-                "collisions": [[_canonical_points(pair)[0],
-                                _canonical_points(pair)[1]]
+                "collisions": [_canonical_points(pair)
                                for pair in result.collisions],
                 "window_size": int(result.window_size),
                 "source": result.source,
@@ -468,10 +479,8 @@ def decode_result(data: dict[str, Any]) -> Any:
             backend=data["backend"])
     if kind == "verify":
         return VerificationReport(
-            collisions=tuple(
-                (tuple(_decode_points(pair)[0]),
-                 tuple(_decode_points(pair)[1]))
-                for pair in data["collisions"]),
+            collisions=tuple(_decode_pair(pair)
+                             for pair in data["collisions"]),
             window_size=int(data["window_size"]),
             source=data["source"],
             checked_points=int(data["checked_points"]),

@@ -112,6 +112,29 @@ class TestFrames:
         with pytest.raises(TransportError):
             write_frame(io.BytesIO(), {"bad": float("inf")})
 
+    def test_one_write_per_frame(self):
+        """Header and body leave in a single ``write``: on an unbuffered
+        socket file two writes are two segments, and the second waits
+        on the peer's delayed ACK (Nagle)."""
+
+        class RecordingStream(io.BytesIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+                return super().write(data)
+
+        stream = RecordingStream()
+        write_frame(stream, {"op": "ping"})
+        write_frame(stream, {"points": [[0, 1], [2, 3]]})
+        assert len(stream.writes) == 2
+        assert b"".join(stream.writes) == stream.getvalue()
+        stream.seek(0)
+        assert read_frame(stream) == {"op": "ping"}
+        assert read_frame(stream) == {"points": [[0, 1], [2, 3]]}
+
     def test_closed_stream_is_typed(self):
         buffer = io.BytesIO()
         buffer.close()
@@ -209,6 +232,28 @@ class TestResultCodec:
     def test_unknown_kind_is_typed(self):
         with pytest.raises(TransportError):
             decode_result({"kind": "mystery"})
+
+    @staticmethod
+    def _report_with_collisions(collisions):
+        return {"kind": "verify", "collisions": collisions,
+                "window_size": 4, "source": "scan", "checked_points": 4,
+                "cache_hits": 0, "cache_misses": 0, "backend": "python",
+                "workers": 1}
+
+    @pytest.mark.parametrize("pair", [
+        [[0, 0]],
+        [[0, 0], [1, 1], [2, 2]],
+    ])
+    def test_malformed_collision_pair_is_typed(self, pair):
+        with pytest.raises(TransportError, match="collision pair"):
+            decode_result(self._report_with_collisions([pair]))
+
+    def test_collision_pairs_round_trip(self):
+        data = self._report_with_collisions([[[0, 0], [1, 1]],
+                                             [[-2, 3], [4, -5]]])
+        report = decode_result(data)
+        assert report.collisions == (((0, 0), (1, 1)), ((-2, 3), (4, -5)))
+        assert encode_result(report) == data
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +502,35 @@ class TestWireEndToEnd:
         raw.sendall(b"REPRO1 100\n{\"op\":")  # promise 100, send 8
         raw.close()
         assert client.ping()  # the handler thread exited cleanly
+
+    def test_served_connections_disable_nagle(self, monkeypatch):
+        """Each accepted socket has ``TCP_NODELAY`` set, so a reply
+        never queues behind an earlier reply's unacknowledged segment."""
+        service = SchedulingService(SessionStore(), max_queue=64)
+        server = WireServer(service)
+        handler = server._tcp.RequestHandlerClass
+        nodelay = []
+        original_setup = handler.setup
+
+        def recording_setup(self):
+            original_setup(self)
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(handler, "setup", recording_setup)
+        server.start()
+        try:
+            with ServiceClient(*server.address, timeout=30) as client:
+                assert client.ping()
+        finally:
+            server.close()
+            service.close()
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_client_connection_disables_nagle(self, wire):
+        client, _ = wire
+        assert client._sock.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_connect_to_dead_port_is_typed(self):
         probe = socket.socket()
