@@ -322,6 +322,7 @@ def test_streamed_window_bounded_memory(report, record_scaling):
            f"{seconds:.1f} s end to end, {peak / 2**20:.0f} MiB peak "
            f"traced allocation (window itself never materialized)")
     assert peak < 256 * 2**20
+    assert seconds <= 20
 
 
 def _interleaved_min(direct, facade, rounds):

@@ -46,6 +46,7 @@ from repro.core.schedule import (
     NeighborhoodFn,
     Schedule,
     TilingSchedule,
+    _array_slot_table,
     _bulk_slots,
     _default_offsets,
     _origin_shapes,
@@ -53,6 +54,7 @@ from repro.core.schedule import (
     find_collisions,
 )
 from repro.core.serialize import CorruptSessionError, schedule_digest
+from repro.engine.backend import numpy_module
 from repro.lattice.sublattice import Sublattice
 from repro.utils.vectors import IntVec, as_intvec, box_points, vadd, vsub
 
@@ -434,6 +436,22 @@ def _schedule_offsets(schedule: Schedule) -> list[IntVec]:
         f"a box window")
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _box_array(lo: IntVec, hi: IntVec):
+    """The points of the box ``[lo, hi]`` as an ``(n, d)`` int64 array.
+
+    Rows come in :func:`~repro.utils.vectors.box_points` order (row-major
+    lexicographic); corners must lie within int64.
+    """
+    np = numpy_module()
+    axes = [np.arange(high - low + 1, dtype=np.int64) + low
+            for low, high in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([axis.ravel() for axis in grid], axis=1)
+
+
 def stream_box_collisions(schedule: Schedule,
                           lo: Sequence[int], hi: Sequence[int],
                           neighborhood_of: NeighborhoodFn,
@@ -448,13 +466,23 @@ def stream_box_collisions(schedule: Schedule,
     ``chunk_points`` points (plus a conflict-radius halo), so 10^8+
     point windows verify in bounded memory.
 
-    Chunking is sound because a lexicographically positive conflict
-    offset never decreases coordinate 0: every pair's left endpoint
-    falls in exactly one slab and its right endpoint within ``halo``
-    rows above it, so scanning each slab extended by the halo and
-    keeping pairs whose left endpoint lies in the slab partitions the
-    full result; slabs ascend along axis 0, so plain concatenation is
-    already the canonical sorted order.
+    Slabs are independent by the tiling-legality condition of loop
+    tiling (``check_tiling_legality`` in SNIPPETS.md snippet 1: tiling
+    an axis is legal when every dependence distance along it is
+    non-negative).  Here the dependences are the conflict offsets, and
+    every lexicographically positive offset has a non-negative axis-0
+    component, so the dependence distance along the slab axis is never
+    negative: every pair's left endpoint falls in exactly one slab and
+    its right endpoint within ``halo`` rows above it.  Scanning each
+    slab extended by the halo and keeping pairs whose left endpoint lies
+    in the slab therefore partitions the full result; slabs ascend
+    along axis 0, so plain concatenation is already the canonical
+    sorted order.
+
+    On the numpy backend, a Theorem 1/2 schedule checked with its own
+    interference map gets each slab as an ``(n, d)`` int64 array, built
+    arithmetically and scanned as an array (see :func:`find_collisions`);
+    other schedules get tuple slabs.
 
     Args:
         schedule: slot assignment to check.
@@ -482,12 +510,17 @@ def stream_box_collisions(schedule: Schedule,
     for low, high in zip(lo_vec[1:], hi_vec[1:]):
         slab *= high - low + 1
     rows_per_chunk = max(1, chunk_points // slab)
+    as_arrays = (_array_slot_table(schedule, neighborhood_of) is not None
+                 and _INT64_MIN <= min(lo_vec) and max(hi_vec) <= _INT64_MAX)
     collisions: list[Collision] = []
     for first_row in range(lo_vec[0], hi_vec[0] + 1, rows_per_chunk):
         last_row = min(first_row + rows_per_chunk - 1, hi_vec[0])
         top_row = min(last_row + halo, hi_vec[0])
-        chunk = list(box_points((first_row,) + lo_vec[1:],
-                                (top_row,) + hi_vec[1:]))
+        chunk_lo, chunk_hi = (first_row,) + lo_vec[1:], (top_row,) + hi_vec[1:]
+        if as_arrays:
+            chunk = _box_array(chunk_lo, chunk_hi)
+        else:
+            chunk = list(box_points(chunk_lo, chunk_hi))
         found = find_collisions(schedule, chunk, neighborhood_of,
                                 offsets=offset_list)
         collisions.extend(pair for pair in found

@@ -31,11 +31,13 @@ import hashlib
 from bisect import insort
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.certify import PeriodicCertificate
 
+from repro.engine.backend import active_backend, int64_points, numpy_module
 from repro.engine.collisions import scan_collisions, scan_collisions_touching
 from repro.engine.encode import BoxEncoder
 from repro.engine.slots import CosetTable, as_point_batch
@@ -249,7 +251,7 @@ class TilingSchedule(Schedule):
         table = self._coset_table()
         if table is None:
             return [self.slot_of(p) for p in points]
-        return table.lookup(as_point_batch(points))
+        return _as_list(table.lookup(as_point_batch(points)))
 
     def _coset_table(self) -> CosetTable | None:
         if not self._slot_table_ready:
@@ -314,17 +316,25 @@ class MultiTilingSchedule(Schedule):
         return self._slot_by_cell[cell]
 
     def slots_of(self, points: Iterable[Sequence[int]]) -> list[int]:
+        return _as_list(self._coset_table().lookup(as_point_batch(points)))
+
+    def _coset_table(self) -> CosetTable:
         if self._slot_table is None:
             period, cell_by_representative = self.multi.coset_structure()
             self._slot_table = CosetTable(
                 period,
                 {representative: self._slot_by_cell[cell]
                  for representative, cell in cell_by_representative.items()})
-        return self._slot_table.lookup(as_point_batch(points))
+        return self._slot_table
 
     def neighborhood_of(self, point: Sequence[int]) -> frozenset[IntVec]:
         """Deployment-D1 interference set of the sensor at ``point``."""
         return self.multi.neighborhood_of(point)
+
+
+def _as_list(values) -> list[int]:
+    """Bulk lookup values as a list (an int64 array becomes Python ints)."""
+    return values.tolist() if hasattr(values, "tolist") else values
 
 
 # ----------------------------------------------------------------------
@@ -363,9 +373,18 @@ def conflict_offsets(prototiles: Iterable[Prototile]) -> frozenset[IntVec]:
     Raises:
         ValueError: if ``prototiles`` is empty.
     """
-    tiles = list(prototiles)
+    tiles = tuple(prototiles)
     if not tiles:
         raise ValueError("need at least one prototile")
+    return _pairwise_offsets(tiles)
+
+
+@lru_cache(maxsize=64)
+def _pairwise_offsets(tiles: tuple[Prototile, ...]) -> frozenset[IntVec]:
+    """:func:`conflict_offsets` of a prototile tuple.
+
+    Cached: every streamed verify of a schedule derives the same offsets.
+    """
     offsets: set[IntVec] = set()
     for a in tiles:
         for b in tiles:
@@ -382,6 +401,52 @@ def conflict_offsets(prototiles: Iterable[Prototile]) -> frozenset[IntVec]:
 _MAX_SHAPE_CLASSES = 32
 
 
+def _known_shapes(neighborhood_of: NeighborhoodFn):
+    """Shape classes of the library's own interference maps, else None.
+
+    Returns ``(shapes, multi)``: the homogeneous map of a
+    :class:`TilingSchedule` has one shape and ``multi`` is ``None``; a
+    deployment-D1 map has one shape per prototile of ``multi``, which
+    classifies points in bulk.
+    """
+    owner = getattr(neighborhood_of, "__self__", None)
+    func = getattr(neighborhood_of, "__func__", None)
+    if (isinstance(owner, TilingSchedule)
+            and func is TilingSchedule.neighborhood_of):
+        return [frozenset(owner.prototile.cells)], None
+    multi = None
+    if (isinstance(owner, MultiTilingSchedule)
+            and func is MultiTilingSchedule.neighborhood_of):
+        multi = owner.multi
+    elif isinstance(owner, MultiTiling) and func is MultiTiling.neighborhood_of:
+        multi = owner
+    if multi is None:
+        return None
+    return [frozenset(tile.cells) for tile in multi.prototiles], multi
+
+
+def _array_slot_table(schedule: Schedule,
+                      neighborhood_of: NeighborhoodFn) -> CosetTable | None:
+    """The slot table that lets a window of ``schedule`` stay an array.
+
+    An ``(n, d)`` int64 window is scanned as an array, with no per-point
+    tuples, when the numpy backend is active, the schedule answers
+    ``slots_of`` through its vectorized coset lookup (Theorem 1/2
+    schedules), and the interference map is one whose shape classes are
+    known in bulk.  Otherwise (mapping schedules, arbitrary callables,
+    the python backend) windows travel as tuples.
+    """
+    if active_backend() != "numpy":
+        return None
+    known = _known_shapes(neighborhood_of)
+    if known is None or len(known[0]) > _MAX_SHAPE_CLASSES:
+        return None
+    if type(schedule).slots_of not in (TilingSchedule.slots_of,
+                                       MultiTilingSchedule.slots_of):
+        return None
+    return schedule._coset_table()  # type: ignore[attr-defined]
+
+
 def _origin_shapes(point_list: list[IntVec],
                    neighborhood_of: NeighborhoodFn,
                    ) -> tuple[list[frozenset[IntVec]], list[int]]:
@@ -389,23 +454,19 @@ def _origin_shapes(point_list: list[IntVec],
 
     Returns ``(shapes, shape_ids)``.  Known homogeneous / deployment-D1
     neighborhood functions are recognized so the classification itself is
-    O(1) or vectorized; arbitrary callables fall back to rebasing each
-    point's neighborhood.
+    O(1) or vectorized (an int64 array window gets its shape ids as an
+    array); arbitrary callables fall back to rebasing each point's
+    neighborhood.
     """
-    owner = getattr(neighborhood_of, "__self__", None)
-    func = getattr(neighborhood_of, "__func__", None)
-    if (isinstance(owner, TilingSchedule)
-            and func is TilingSchedule.neighborhood_of):
-        return [frozenset(owner.prototile.cells)], [0] * len(point_list)
-    multi = None
-    if (isinstance(owner, MultiTilingSchedule)
-            and func is MultiTilingSchedule.neighborhood_of):
-        multi = owner.multi
-    elif isinstance(owner, MultiTiling) and func is MultiTiling.neighborhood_of:
-        multi = owner
-    if multi is not None:
-        shapes = [frozenset(tile.cells) for tile in multi.prototiles]
-        return shapes, multi.prototile_indices(point_list)
+    known = _known_shapes(neighborhood_of)
+    if known is not None:
+        shapes, multi = known
+        if multi is not None:
+            return shapes, multi.prototile_indices(point_list)
+        if int64_points(point_list) is not None:
+            np = numpy_module()
+            return shapes, np.zeros(len(point_list), dtype=np.int64)
+        return shapes, [0] * len(point_list)
     shapes = []
     shape_ids = []
     index: dict[frozenset[IntVec], int] = {}
@@ -502,7 +563,12 @@ def find_collisions(schedule: Schedule,
 
     Args:
         schedule: slot assignment to check.
-        points: the sensors (finite window of the lattice).
+        points: the sensors (finite window of the lattice): integer
+            tuples, or an ``(n, d)`` integer numpy array.  An int64
+            array of a Theorem 1/2 schedule, verified with its own
+            interference map on the numpy backend, stays an array from
+            slot lookup to the scan kernel; other arrays are read as
+            tuples.
         neighborhood_of: maps a sensor to its interference set (pass the
             schedule's ``neighborhood_of`` for Theorem 1/2 schedules).
         offsets: optional candidate conflict offsets; computed from the
@@ -531,6 +597,13 @@ def find_collisions(schedule: Schedule,
         ValueError: when both ``cache`` and ``certificate`` are given,
             or when ``certificate`` does not cover ``schedule``.
     """
+    array = int64_points(points)
+    if array is not None and cache is None and certificate is None:
+        table = _array_slot_table(schedule, neighborhood_of)
+        if table is not None:
+            return _array_collisions(table, array, neighborhood_of, offsets)
+    if hasattr(points, "tolist"):
+        points = points.tolist()
     if certificate is not None:
         if cache is not None:
             raise ValueError(
@@ -553,6 +626,22 @@ def find_collisions(schedule: Schedule,
         offset_list = _default_offsets(point_list, shapes)
     slots = _bulk_slots(schedule, point_list)
     return _scan_window(point_list, slots, shapes, shape_ids, offset_list)
+
+
+def _array_collisions(table: CosetTable, array, neighborhood_of,
+                      offsets: Iterable[IntVec] | None) -> list[Collision]:
+    """:func:`find_collisions` of an int64 array window, kept an array.
+
+    Slots and shape ids come back from the bulk lookups as arrays and go
+    straight to the scan kernel; only colliding pairs become tuples.
+    """
+    if len(array) == 0:
+        return []
+    shapes, shape_ids = _origin_shapes(array, neighborhood_of)
+    offset_list = (_default_offsets(array, shapes) if offsets is None
+                   else list(offsets))
+    return scan_collisions(array, table.lookup(array), shape_ids, shapes,
+                           offset_list)
 
 
 def verify_collision_free(schedule: Schedule,

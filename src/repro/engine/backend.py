@@ -29,6 +29,7 @@ from typing import Any, Iterator
 __all__ = [
     "numpy_module",
     "numpy_available",
+    "int64_points",
     "active_backend",
     "requested_backend",
     "set_backend",
@@ -57,6 +58,20 @@ def numpy_module() -> Any | None:
 def numpy_available() -> bool:
     """True when numpy can be imported in this interpreter."""
     return numpy_module() is not None
+
+
+def int64_points(points: Any) -> Any | None:
+    """``points`` itself when it is an ``(n, d)`` int64 numpy array.
+
+    The one check an array window passes — dimensionality, dtype kind
+    and width — before the int64 kernels take it as is.  Anything else
+    (tuple lists, other dtypes) returns ``None``.
+    """
+    dtype = getattr(points, "dtype", None)
+    if (dtype is not None and dtype.kind == "i" and dtype.itemsize == 8
+            and points.ndim == 2):
+        return points
+    return None
 
 
 #: Malformed ``REPRO_ENGINE`` values already warned about.  Lazy

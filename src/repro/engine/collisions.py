@@ -11,7 +11,9 @@ table over (shape pair, candidate offset).
 Both implementations enumerate, for every lexicographically positive
 candidate offset ``delta``, the pairs ``(x, x + delta)`` present in the
 window, and keep those with equal slots and an allowed shape pair.  The
-numpy path does this with one sorted-key membership pass per offset; the
+numpy path does this with one vectorized membership pass per offset — a
+gather from a dense first-occurrence table when the window fills its
+bounding box, a binary search over sorted keys when it is sparse; the
 Python path with one dict probe per (point, offset).  Results are
 identical: a list of ``(x, y)`` pairs with ``x < y``, sorted.
 
@@ -19,7 +21,7 @@ Two scaling layers sit on top of the serial scan:
 
 * **Sharding** (:mod:`repro.engine.parallel`): with workers enabled,
   large scans split across processes — the numpy path shards the
-  *offset* axis (each worker reuses the presorted key arrays, inherited
+  *offset* axis (each worker reuses the prebuilt key index, inherited
   copy-on-write), the Python path shards the *point* axis.  Merging is
   concatenation followed by the same canonical sort, so the result is
   bit-identical for any worker count.
@@ -34,8 +36,9 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Collection, Mapping, Sequence
+from functools import lru_cache
 
-from repro.engine.backend import active_backend, numpy_module
+from repro.engine.backend import active_backend, int64_points, numpy_module
 from repro.engine.config import active_kernel_failure_policy
 from repro.engine.encode import BoxEncoder
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
@@ -78,24 +81,29 @@ def scan_collisions(points: Sequence[IntVec],
     """All colliding pairs, sorted by ``(x, y)``.
 
     Args:
-        points: the window (integer tuples; duplicates follow the same
+        points: the window — integer tuples, or an ``(n, d)`` int64
+            numpy array (duplicates follow the same
             once-per-occurrence-of-``x`` semantics as the schedule layer).
-        slots: slot of each point, aligned with ``points``.
-        shape_ids: index into ``shapes`` for each point.
+        slots: slot of each point, aligned with ``points`` (a sequence
+            or an int64 array).
+        shape_ids: index into ``shapes`` for each point (likewise).
         shapes: origin-rebased interference sets, one per shape class.
         offsets: candidate conflict offsets ``y - x`` to probe.  Offsets
             that are lexicographically nonpositive cannot produce a new
             ``x < y`` pair and are skipped.
+
+    Returns:
+        The pairs as integer tuples, whatever form ``points`` took.
     """
-    if not points or not offsets:
+    if len(points) == 0 or not offsets:
         return []
+    array = int64_points(points)
     dimension = len(points[0])
     zero = (0,) * dimension
     positive = [delta for delta in offsets if delta > zero]
     if not positive:
         return []
-    differences = [[frozenset(vsub(p, q) for p in a for q in b)
-                    for b in shapes] for a in shapes]
+    differences = _difference_sets(tuple(shapes))
     if active_backend() == "numpy":
         try:
             consume_numpy_failure()
@@ -114,9 +122,28 @@ def scan_collisions(points: Sequence[IntVec],
         if collisions is not None:
             collisions.sort()
             return collisions
-    collisions = _scan_python(points, slots, shape_ids, differences, positive)
+    if array is not None:
+        points = [tuple(p) for p in array.tolist()]
+    collisions = _scan_python(points, _as_list(slots), _as_list(shape_ids),
+                              differences, positive)
     collisions.sort()
     return collisions
+
+
+@lru_cache(maxsize=32)
+def _difference_sets(shapes: tuple[frozenset[IntVec], ...],
+                     ) -> tuple[tuple[frozenset[IntVec], ...], ...]:
+    """``S_a - S_b`` for every pair of shape classes.
+
+    Cached: a streamed window scans the same shapes slab after slab.
+    """
+    return tuple(tuple(frozenset(vsub(p, q) for p in a for q in b)
+                       for b in shapes) for a in shapes)
+
+
+def _as_list(values):
+    """A per-point column as a list (int64 arrays become Python ints)."""
+    return values.tolist() if hasattr(values, "tolist") else values
 
 
 def _python_shard(payload, span):
@@ -152,40 +179,66 @@ def _scan_python(points, slots, shape_ids, differences, offsets):
 
 
 def _numpy_shard(payload, span):
-    """Offset passes ``span[0]..span[1]-1`` over presorted keys.
+    """Offset passes ``span[0]..span[1]-1`` over prebuilt key indexes.
 
-    Returns index pairs (not point tuples) so worker results stay small;
-    the driver resolves them against the original window.
+    Each pass finds, for every point ``x``, the first occurrence of
+    ``x + delta`` in the window (index ``n`` when absent): one gather
+    from the dense ``table`` when there is one, one binary search over
+    the presorted keys otherwise.  Returns index pairs (not point
+    tuples) so worker results stay small; the caller resolves them
+    against the original window.
     """
     np = numpy_module()
-    keys, sorted_keys, order, slot_arr, shape_arr, allowed, offset_keys = \
-        payload
+    (keys, table, sorted_keys, order, slot_arr, shape_arr, allowed,
+     offset_keys) = payload
     lo, hi = span
     n = len(keys)
+    # A missing neighbour maps to index n with slot -1; a real slot of -1
+    # matching it is dropped by the ``yi < n`` test on the hits.
+    slot_ext = np.append(slot_arr, -1)
     pairs: list[tuple[int, int]] = []
     for j in range(lo, hi):
-        target = keys + offset_keys[j]
-        pos = np.minimum(np.searchsorted(sorted_keys, target), n - 1)
-        xi = np.nonzero(sorted_keys[pos] == target)[0]
+        if table is not None:
+            # table[keys + offset_key], gathered through a shifted view
+            # so the pass needs no temporary key array (the offset key
+            # of a lexicographically positive offset is positive).
+            found = table[offset_keys[j]:][keys]
+        else:
+            target = keys + offset_keys[j]
+            pos = np.minimum(np.searchsorted(sorted_keys, target), n - 1)
+            found = np.where(sorted_keys[pos] == target, order[pos], n)
+        xi = np.nonzero(slot_ext[found] == slot_arr)[0]
         if xi.size == 0:
             continue
-        yi = order[pos[xi]]
-        keep = slot_arr[xi] == slot_arr[yi]
-        keep &= allowed[shape_arr[xi], shape_arr[yi], j]
+        yi = found[xi]
+        present = yi < n
+        xi, yi = xi[present], yi[present]
+        keep = allowed[shape_arr[xi], shape_arr[yi], j]
         if keep.any():
             pairs.extend(zip(xi[keep].tolist(), yi[keep].tolist()))
     return pairs
 
 
+#: The dense index is used when the padded box holds at most this many
+#: keys per window point.  At 4, its int64 table costs about what the
+#: sorted path already holds (keys, sort order and sorted keys: three
+#: int64 words per point), so the gather replaces every per-offset
+#: binary search without raising peak memory; sparser windows, whose
+#: box volume is unbounded in N, keep the sorted keys.
+_DENSE_VOLUME_PER_POINT = 4
+
+
 def _scan_numpy(points, slots, shape_ids, differences, offsets):
     """Vectorized scan; returns ``None`` when int64 keys cannot be used."""
     np = numpy_module()
-    try:
-        array = np.asarray(points, dtype=np.int64)
-    except OverflowError:
-        return None
+    array = int64_points(points)
+    if array is None:
+        try:
+            array = np.asarray(points, dtype=np.int64)
+        except OverflowError:
+            return None
     # Padding by the offset span makes shifted keys alias-free, so each
-    # offset pass is a pure sorted-key membership test (no box mask).
+    # offset pass is a pure membership test (no box mask).
     dimension = array.shape[1]
     pad = [max(abs(delta[i]) for delta in offsets)
            for i in range(dimension)]
@@ -193,8 +246,24 @@ def _scan_numpy(points, slots, shape_ids, differences, offsets):
     if not encoder.fits_int64:
         return None
     keys = encoder.keys_array(np, array)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    n = len(keys)
+    if bool(np.all(keys[1:] >= keys[:-1])):
+        # Box windows come out in key order: the stable sort is the
+        # identity.
+        order = np.arange(n, dtype=np.int64)
+        sorted_keys = keys
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    table = None
+    if encoder.volume <= _DENSE_VOLUME_PER_POINT * n:
+        # First occurrence of each key: the run heads of the stably
+        # sorted keys, so every table cell is written exactly once.
+        head = np.ones(n, dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        table = np.full(encoder.volume, n, dtype=np.int64)
+        table[sorted_keys[head]] = order[head]
+        sorted_keys = order = None
     slot_arr = np.asarray(slots, dtype=np.int64)
     shape_arr = np.asarray(shape_ids, dtype=np.int64)
     num_shapes = len(differences)
@@ -205,19 +274,26 @@ def _scan_numpy(points, slots, shape_ids, differences, offsets):
             for j, delta in enumerate(offsets):
                 allowed[a, b, j] = delta in row
     offset_keys = [encoder.offset_key(delta) for delta in offsets]
-    payload = (keys, sorted_keys, order, slot_arr, shape_arr, allowed,
-               offset_keys)
+    payload = (keys, table, sorted_keys, order, slot_arr, shape_arr,
+               allowed, offset_keys)
     workers = shard_workers()
-    if workers > 1 and len(points) * len(offsets) >= _MIN_PARALLEL_PROBES:
-        # Each worker inherits the presorted key arrays (copy-on-write
-        # under fork) and runs only its span of offset passes.
+    pairs = None
+    if workers > 1 and n * len(offsets) >= _MIN_PARALLEL_PROBES:
+        # Each worker inherits the key indexes (copy-on-write under
+        # fork) and runs only its span of offset passes.
         spans = plan_shards(len(offsets), workers)
         if len(spans) > 1:
             parts = run_sharded(_numpy_shard, payload, spans, workers)
             pairs = [pair for part in parts for pair in part]
-            return [(points[i], points[j]) for i, j in pairs]
-    pairs = _numpy_shard(payload, (0, len(offsets)))
-    return [(points[i], points[j]) for i, j in pairs]
+    if pairs is None:
+        pairs = _numpy_shard(payload, (0, len(offsets)))
+    if array is not points:
+        return [(points[i], points[j]) for i, j in pairs]
+    if not pairs:
+        return []
+    left, right = zip(*pairs)
+    return list(zip(map(tuple, array[list(left)].tolist()),
+                    map(tuple, array[list(right)].tolist())))
 
 
 def scan_collisions_touching(points: Sequence[IntVec],

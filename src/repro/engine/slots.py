@@ -14,12 +14,14 @@ in a finite table.  :class:`CosetTable` packages that two-step lookup for
   instead of ``n`` Python loops — then resolves representatives through a
   dense ``index``-sized table of precomputed values.
 
-Both paths return the same list of Python ints for the same input.
+Both paths return the same values for the same input: a list of Python
+ints, or an int64 array when an array goes in on the numpy backend.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.engine.backend import active_backend, numpy_module
 from repro.engine.parallel import plan_shards, run_sharded, shard_workers
@@ -98,15 +100,18 @@ class CosetTable:
         """Scalar lookup (identical to the per-point schedule path)."""
         return self._values[self._sublattice.canonical_representative(point)]
 
-    def lookup(self, points: Sequence[Sequence[int]]) -> list[int]:
+    def lookup(self, points: Sequence[Sequence[int]]) -> Any:
         """Values for a batch of points, dispatching on the backend.
 
         Accepts a list of integer tuples or a ready-made ``(n, d)``
-        integer numpy array.  Falls back to the exact Python path for
-        inputs the int64 kernel cannot represent.  Very large batches
-        shard across worker processes when workers are enabled
-        (:mod:`repro.engine.parallel`); the rows partition, so the
-        concatenated shard outputs equal the serial list exactly.
+        integer numpy array.  Returns a list of ints, except that an
+        array on the numpy backend gets an int64 array back, so array
+        windows stay arrays from slot lookup to the scan kernel.  Falls
+        back to the exact Python path for inputs the int64 kernel cannot
+        represent.  Very large batches shard across worker processes
+        when workers are enabled (:mod:`repro.engine.parallel`); the
+        rows partition, so the concatenated shard outputs equal the
+        serial result exactly.
         """
         workers = shard_workers()
         if workers > 1 and len(points) >= _MIN_PARALLEL_POINTS:
@@ -114,18 +119,29 @@ class CosetTable:
             if len(spans) > 1:
                 parts = run_sharded(_lookup_shard, (self, points), spans,
                                     workers)
-                return [value for part in parts for value in part]
+                if isinstance(parts[0], list):
+                    return [value for part in parts for value in part]
+                return numpy_module().concatenate(parts)
         return self._lookup_serial(points)
 
-    def _lookup_serial(self, points: Sequence[Sequence[int]]) -> list[int]:
+    def _lookup_serial(self, points: Sequence[Sequence[int]]) -> Any:
         if active_backend() == "numpy":
             np = numpy_module()
             array = np.asarray(points)
             if (array.ndim == 2 and array.shape[1] == self.dimension
-                    and array.dtype.kind in "iu"
-                    and (array.size == 0
-                         or int(np.abs(array).max()) < _MAX_COORD)):
-                return self._lookup_numpy(np, array)
+                    and array.dtype.kind in "iu"):
+                # min/max, not abs: np.abs(-2**63) wraps to a negative.
+                if array.size == 0 or (int(array.min()) > -_MAX_COORD
+                                       and int(array.max()) < _MAX_COORD):
+                    values = self._lookup_numpy(np, array)
+                else:
+                    # tolist() first: NumPy scalars would wrap in the
+                    # exact path's arithmetic.
+                    values = np.asarray(self._lookup_python(array.tolist()),
+                                        dtype=np.int64)
+                return values if array is points else values.tolist()
+        if hasattr(points, "tolist"):
+            points = points.tolist()
         return self._lookup_python(points)
 
     def _lookup_python(self, points: Sequence[Sequence[int]]) -> list[int]:
@@ -137,18 +153,20 @@ class CosetTable:
     # repro: allow[backend-parity] -- numpy-branch-private constant cache, not a dispatched kernel; the python path reads _basis/_table directly
     def _numpy_constants(self, np):
         if self._numpy_cache is None:
-            columns = [np.asarray(column, dtype=np.int64)
-                       for column in self._basis]
-            strides = np.asarray(self._strides, dtype=np.int64)
-            table = np.asarray(self._table, dtype=np.int64)
-            self._numpy_cache = (columns, strides, table)
+            self._numpy_cache = np.asarray(self._table, dtype=np.int64)
         return self._numpy_cache
 
-    def _lookup_numpy(self, np, array) -> list[int]:
-        columns, strides, table = self._numpy_constants(np)
-        reduced = array.astype(np.int64, copy=True)
-        for i in range(self.dimension):
-            quotient = reduced[:, i] // self._diagonal[i]
-            reduced[:, i:] -= quotient[:, None] * columns[i][i:]
-        keys = reduced @ strides
-        return table[keys].tolist()
+    def _lookup_numpy(self, np, array):
+        table = self._numpy_constants(np)
+        # One contiguous vector per coordinate: strided column passes
+        # over the (n, d) array cost several times more.
+        coords = [array[:, i].astype(np.int64) for i in range(self.dimension)]
+        for i, column in enumerate(self._basis):
+            quotient = coords[i] // self._diagonal[i]
+            for row in range(i, self.dimension):
+                if column[row]:
+                    coords[row] -= quotient * column[row]
+        keys = coords[0] * self._strides[0]
+        for coord, stride in zip(coords[1:], self._strides[1:]):
+            keys += coord * stride
+        return table[keys]

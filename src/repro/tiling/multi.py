@@ -105,6 +105,7 @@ class MultiTiling:
         self._cover = cover
         self.dimension = dimension
         self._entry_table: CosetTable | None = None
+        self._kind_table: CosetTable | None = None
         self._entries: list[tuple[int, IntVec, IntVec]] = []
 
     # ------------------------------------------------------------------
@@ -168,12 +169,18 @@ class MultiTiling:
         return result
 
     def prototile_indices(self, points: Iterable[Sequence[int]]) -> list[int]:
-        """Prototile index of each point — the D1 neighborhood *types*."""
-        point_list = [as_intvec(p) for p in points]
-        table = self._cover_table()
-        entries = self._entries
-        return [entries[entry_index][0]
-                for entry_index in table.lookup(point_list)]
+        """Prototile index of each point — the D1 neighborhood *types*.
+
+        An ``(n, d)`` integer numpy array on the numpy backend gets an
+        int64 array back (see :meth:`CosetTable.lookup`).
+        """
+        if self._kind_table is None:
+            self._kind_table = CosetTable(
+                self._period, {representative: k for representative,
+                               (k, _, _) in self._cover.items()})
+        if not hasattr(points, "__array__"):
+            points = [as_intvec(p) for p in points]
+        return self._kind_table.lookup(points)
 
     def coset_structure(self) -> tuple[Sublattice, dict[IntVec, IntVec]]:
         """Period sublattice plus the representative -> cell map.

@@ -26,6 +26,7 @@ from repro.core.schedule import (
     MappingSchedule,
     TilingSchedule,
     VerificationCache,
+    conflict_offsets,
     find_collisions,
     verify_collision_free,
 )
@@ -211,16 +212,23 @@ class TestStreaming:
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     def test_streamed_scan_equals_one_shot(self, backend):
         lo, hi = (-4, -3), (17, 12)
+        # A Theorem 1 schedule checked against a wider map than its own
+        # prototile: on numpy it streams array slabs, and its collisions
+        # cross axis 0, so they straddle slab boundaries.
+        wide = schedule_from_prototile(chebyshev_ball(2))
+        cases = (
+            (schedule_from_prototile(_TILE), None, None),
+            (schedule_from_multi_tiling(alternating_column_tiling("SZ")),
+             None, None),
+            (_Flat(), _flat_neighborhood,
+             sorted({(0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (2, 0),
+                     (0, 2), (1, -1)})),
+            (schedule_from_prototile(_TILE), wide.neighborhood_of,
+             sorted(conflict_offsets([wide.prototile]))),
+        )
         with use_backend(backend):
-            for schedule, neighborhood in (
-                    (schedule_from_prototile(_TILE), None),
-                    (schedule_from_multi_tiling(
-                        alternating_column_tiling("SZ")), None),
-                    (_Flat(), _flat_neighborhood)):
+            for schedule, neighborhood, offsets in cases:
                 nb = neighborhood or schedule.neighborhood_of
-                offsets = (sorted({(0, 1), (1, 0), (1, 1), (0, -1),
-                                   (-1, 0), (2, 0), (0, 2), (1, -1)})
-                           if neighborhood else None)
                 want = find_collisions(schedule,
                                        list(box_points(lo, hi)), nb,
                                        offsets=offsets)
@@ -229,6 +237,58 @@ class TestStreaming:
                                                 offsets=offsets,
                                                 chunk_points=chunk)
                     assert got == want
+        assert any(x[0] != y[0] for x, y in want)
+
+    def test_slab_form_follows_the_schedule(self, monkeypatch):
+        # numpy + a Theorem 1 schedule: array slabs, never box_points
+        # tuples; a mapping schedule keeps its tuple slabs.
+        import repro.core.certify as certify_module
+
+        calls = []
+        real = certify_module.box_points
+
+        def spy(lo, hi):
+            calls.append(lo)
+            return real(lo, hi)
+
+        monkeypatch.setattr(certify_module, "box_points", spy)
+        schedule = schedule_from_prototile(_TILE)
+        lo, hi = (0, 0), (9, 9)
+        mapping = MappingSchedule({p: schedule.slot_of(p)
+                                   for p in box_points(lo, hi)})
+        offsets = sorted(conflict_offsets([_TILE]))
+        with use_backend("numpy"):
+            assert stream_box_collisions(schedule, lo, hi,
+                                         schedule.neighborhood_of,
+                                         chunk_points=20) == []
+            assert calls == []
+            assert stream_box_collisions(mapping, lo, hi,
+                                         schedule.neighborhood_of,
+                                         offsets=offsets,
+                                         chunk_points=20) == []
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_window_at_int64_max_streams_without_degrading(self, backend):
+        import warnings
+
+        from repro.engine import EngineDegradedWarning
+
+        wide = schedule_from_prototile(chebyshev_ball(2))
+        schedule = schedule_from_prototile(_TILE)
+        offsets = sorted(conflict_offsets([wide.prototile]))
+        lo, hi = (2 ** 63 - 6, -3), (2 ** 63 - 1, 3)
+        with use_backend("python"):
+            want = find_collisions(schedule, list(box_points(lo, hi)),
+                                   wide.neighborhood_of, offsets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineDegradedWarning)
+            with use_backend(backend):
+                got = stream_box_collisions(schedule, lo, hi,
+                                            wide.neighborhood_of,
+                                            offsets=offsets,
+                                            chunk_points=14)
+        assert want and got == want
 
     def test_structureless_schedules_need_explicit_offsets(self):
         with pytest.raises(ValueError, match="offsets"):

@@ -297,3 +297,202 @@ class TestBackendEquivalence:
                                         packet_interval=5, seed=11))
         assert all(r == results[0] for r in results)
         assert results[0].packets_created > 0
+
+
+# ----------------------------------------------------------------------
+# Int64 extremes: bulk lookup and scan stay exact at the edge of int64
+# ----------------------------------------------------------------------
+_INT64_MIN = -2 ** 63
+
+
+class TestInt64Extremes:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bulk_slots_at_int64_min_match_slot_of(self, backend):
+        # np.abs(-2**63) wraps to a negative number, which once let such
+        # windows past the int64 coordinate guard.
+        from repro.api import Session
+
+        points = [(_INT64_MIN, j) for j in range(3)]
+        session = Session.for_chebyshev(1, 2)
+        with use_backend(backend):
+            slots = session.assign(points).slots
+        assert list(slots) == [session.schedule.slot_of(p) for p in points]
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_exact_fallback_never_iterates_numpy_scalars(self):
+        import numpy as np
+
+        schedule = schedule_from_prototile(chebyshev_ball(1))
+        rows = [(_INT64_MIN + 3, 5), (2 ** 62, -7), (-(2 ** 41), 3)]
+        with use_backend("numpy"):
+            got = schedule.slots_of(np.array(rows, dtype=np.int64))
+        assert got == [schedule.slot_of(p) for p in rows]
+
+    @pytest.mark.parametrize("policy", ["degrade", "raise"])
+    def test_window_near_int64_min_is_not_a_kernel_failure(self, policy):
+        import warnings
+
+        from repro.engine import EngineConfig, EngineDegradedWarning
+
+        points = [(_INT64_MIN + i, j) for i in range(3) for j in range(3)]
+        schedule = MappingSchedule({p: 0 for p in points})
+        tile = chebyshev_ball(1)
+        neighborhood = lambda p: tile.translate(p)  # noqa: E731
+        results = {}
+        for backend in BACKENDS:
+            config = EngineConfig(backend=backend, on_kernel_failure=policy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", EngineDegradedWarning)
+                with config.apply():
+                    results[backend] = find_collisions(schedule, points,
+                                                       neighborhood)
+        first, *rest = results.values()
+        assert first and all(other == first for other in rest)
+
+
+# ----------------------------------------------------------------------
+# Array windows and the two numpy scan kernels
+# ----------------------------------------------------------------------
+def _colliding_cases():
+    """(schedule, neighborhood_of, offsets) triples whose windows collide.
+
+    Each schedule is verified against a wider interference map than the
+    one it was built for, so slots repeat within conflict range.
+    """
+    narrow = schedule_from_prototile(chebyshev_ball(1))
+    plus = schedule_from_prototile(plus_pentomino())
+    wide = schedule_from_prototile(chebyshev_ball(2))
+    multi = figure5_mixed_tiling()
+    mixed = schedule_from_multi_tiling(multi)
+    return [
+        (narrow, wide.neighborhood_of,
+         sorted(conflict_offsets([wide.prototile]))),
+        (plus, multi.neighborhood_of,
+         sorted(conflict_offsets(multi.prototiles))),
+        (mixed, wide.neighborhood_of,
+         sorted(conflict_offsets([wide.prototile]))),
+        (mixed, mixed.neighborhood_of, None),
+    ]
+
+
+def _shuffled_window_with_duplicates(seed):
+    rng = random.Random(seed)
+    points = [p for p in box_points((-6, -5), (7, 6)) if rng.random() < 0.8]
+    points += rng.sample(points, 15)
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestArrayWindows:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_array_and_tuple_windows_agree(self, backend):
+        import numpy as np
+
+        for seed, (schedule, neighborhood, offsets) in enumerate(
+                _colliding_cases()):
+            points = _shuffled_window_with_duplicates(seed)
+            array = np.array(points, dtype=np.int64)
+            with use_backend(backend):
+                want = find_collisions(schedule, points, neighborhood,
+                                       offsets)
+                got = find_collisions(schedule, array, neighborhood, offsets)
+            assert got == want
+            assert all(type(c) is int for pair in got for p in pair
+                       for c in p)
+            # only the last case, a Theorem 2 schedule under its own
+            # map, is collision-free
+            assert bool(got) == (seed < 3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mapping_schedule_reads_arrays_as_tuples(self, backend):
+        import numpy as np
+
+        points, schedule = _random_window(5)
+        tile = chebyshev_ball(1)
+        neighborhood = lambda p: tile.translate(p)  # noqa: E731
+        with use_backend(backend):
+            want = find_collisions(schedule, points, neighborhood)
+            got = find_collisions(schedule, np.array(points), neighborhood)
+        assert want and got == want
+
+    def test_coset_lookup_keeps_arrays(self):
+        import numpy as np
+
+        schedule = schedule_from_prototile(chebyshev_ball(1))
+        table = schedule._coset_table()
+        points = list(box_points((-5, -5), (5, 5)))
+        with use_backend("numpy"):
+            got = table.lookup(np.array(points, dtype=np.int64))
+            assert got.dtype == np.int64
+            assert got.tolist() == table.lookup(points)
+            # the schedule-level bulk API keeps its list contract
+            assert schedule.slots_of(np.array(points)) == \
+                [schedule.slot_of(p) for p in points]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_and_sorted_kernels_agree(self, monkeypatch, seed):
+        import numpy as np
+
+        from repro.engine import collisions
+
+        points = _shuffled_window_with_duplicates(100 + seed)
+        cases = _colliding_cases()
+        schedule, neighborhood, offsets = cases[seed % len(cases)]
+        rng = random.Random(seed)
+        bad = MappingSchedule({p: rng.randrange(3) for p in points})
+        results = []
+        for per_point in (0, 10 ** 9):  # sorted keys, then dense index
+            monkeypatch.setattr(collisions, "_DENSE_VOLUME_PER_POINT",
+                                per_point)
+            with use_backend("numpy"):
+                results.append((
+                    find_collisions(schedule, np.array(points), neighborhood,
+                                    offsets),
+                    find_collisions(bad, points, neighborhood, offsets)))
+        with use_backend("python"):
+            want = (find_collisions(schedule, points, neighborhood, offsets),
+                    find_collisions(bad, points, neighborhood, offsets))
+        assert want[1]
+        assert results[0] == results[1] == want
+
+    def test_two_shape_multitiling_kernels_agree(self, monkeypatch):
+        from repro.engine import collisions
+
+        multi = figure5_mixed_tiling()
+        points = _shuffled_window_with_duplicates(7)
+        bad = MappingSchedule({p: (p[0] + 2 * p[1]) % 5 for p in points})
+        results = []
+        for per_point in (0, 10 ** 9):
+            monkeypatch.setattr(collisions, "_DENSE_VOLUME_PER_POINT",
+                                per_point)
+            with use_backend("numpy"):
+                results.append(find_collisions(bad, points,
+                                               multi.neighborhood_of))
+        with use_backend("python"):
+            want = find_collisions(bad, points, multi.neighborhood_of)
+        assert want and results[0] == results[1] == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sparse_window_takes_the_sorted_path(self, backend):
+        import tracemalloc
+        import warnings
+
+        from repro.engine import EngineDegradedWarning
+
+        points = [(0, 0), (10 ** 9, 0), (10 ** 9, 1)]
+        schedule = MappingSchedule({p: 0 for p in points})
+        tile = chebyshev_ball(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineDegradedWarning)
+            with use_backend(backend):
+                tracemalloc.start()
+                try:
+                    got = find_collisions(schedule, points,
+                                          lambda p: tile.translate(p))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert got == [((10 ** 9, 0), (10 ** 9, 1))]
+        # a dense table over the ~3*10^9-key box would need GiBs
+        assert peak < 2 ** 20

@@ -153,9 +153,14 @@ def _collision_inputs():
 
 class TestShardedKernels:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scan_collisions_identical_across_workers(self, backend,
-                                                      force_sharding):
+    @pytest.mark.parametrize("kernel", ["dense", "sorted"])
+    def test_scan_collisions_identical_across_workers(self, backend, kernel,
+                                                      force_sharding,
+                                                      monkeypatch):
         points, slots, shape_ids, shapes, offsets = _collision_inputs()
+        if kernel == "sorted":  # the full box is dense: force the other
+            monkeypatch.setattr(collisions_module,
+                                "_DENSE_VOLUME_PER_POINT", 0)
         with use_backend(backend):
             reference = None
             for workers in WORKER_COUNTS:
