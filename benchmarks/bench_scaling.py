@@ -245,6 +245,49 @@ def test_randmac_simulator_speedup(report, record_scaling, benchmark):
     assert speedup >= 10
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_mac_simulator_step_loop(report, record_scaling):
+    """The simulator's slot loop: 10^4 sensors x 256 slots on numpy.
+
+    One run each of aloha, csma and the collision-free schedule, timed
+    best of three.  The numpy metrics must equal the pure-Python
+    backend's on a 40 x 40 sub-window (the full window is too slow for
+    the fallback).
+    """
+    protocols = (("aloha", {"p": 0.1}), ("csma", {"p": 0.1}),
+                 ("schedule", {}))
+    slots = 256
+    session = Session.for_prototile(_TILE, window=_window(_RANDMAC_SIDE),
+                                    config=EngineConfig(backend="numpy"))
+    network = session.network()
+    network.adjacency_index()  # freeze the topology outside the timers
+    seconds = {}
+    for name, params in protocols:
+        seconds[name] = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            session.simulate(name, slots, network=network, seed=1, **params)
+            seconds[name] = min(seconds[name], time.perf_counter() - t0)
+
+    sub_window = Box((0, 0), (39, 39))
+    fallback = session.with_config(EngineConfig(backend="python"))
+    for name, params in protocols:
+        assert session.simulate(name, slots, window=sub_window, seed=1,
+                                **params) == \
+            fallback.simulate(name, slots, window=sub_window, seed=1,
+                              **params)
+
+    record_scaling("mac-simulator/step-loop", seconds=sum(seconds.values()),
+                   sensors=_RANDMAC_SIDE ** 2, slots=slots,
+                   **{f"{name}_seconds": round(value, 6)
+                      for name, value in seconds.items()})
+    report("Engine — MAC simulator slot loop",
+           f"{_RANDMAC_SIDE ** 2} sensors x {slots} slots on numpy: "
+           + ", ".join(f"{name} {value * 1e3:.0f} ms"
+                       for name, value in seconds.items())
+           + "; metrics identical to the python backend on 40 x 40")
+
+
 def test_certificate_reverification_speedup(report, record_scaling):
     """Certificate-served congruent windows vs a full scan (ROADMAP item).
 

@@ -12,9 +12,11 @@ produce bit-identical simulation metrics.
 
 The numpy path reimplements the SplitMix64 arithmetic of ``StreamRNG``
 on ``uint64`` arrays (multiplication and addition wrap mod 2^64 exactly
-like the masked Python integers); converting the top 53 bits to float64
-is exact, so the uniforms — and therefore every threshold comparison —
-agree bit-for-bit with the scalar implementation.
+like the masked Python integers); converting the top 53 bits ``k`` to
+float64 is exact, so the uniforms agree bit-for-bit with the scalar
+implementation.  Bernoulli decisions skip the floats altogether:
+``k * 2^-53 < p`` holds exactly when ``k < ceil(p * 2^53)``, an integer
+comparison.
 
 Because each cell is a pure function of ``(seed, sensor, slot)``, the
 sensor axis shards freely: the ``*_range`` variants evaluate only
@@ -26,6 +28,7 @@ one for any worker count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -55,11 +58,18 @@ __all__ = [
 _MIN_PARALLEL_CELLS = 1 << 16
 
 
-def _np_mix64(np, x):
-    """SplitMix64 finalizer on a uint64 array (wraps mod 2^64)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_A)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_B)
-    return x ^ (x >> np.uint64(31))
+def _np_mix64(np, x, scratch):
+    """SplitMix64 finalizer on a uint64 array, in place (wraps mod 2^64).
+
+    ``scratch`` is an array of ``x``'s shape that the shifts are written
+    to, so no temporaries are allocated.
+    """
+    for shift, factor in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        np.right_shift(x, np.uint64(shift), out=scratch)
+        x ^= scratch
+        if factor is not None:
+            x *= np.uint64(factor)
+    return x
 
 
 # The per-sensor base hashes depend only on (root, lo, hi), not on the
@@ -72,7 +82,9 @@ def _np_bases(root: int, lo: int, hi: int):
     np = numpy_module()
     with np.errstate(over="ignore"):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        return _np_mix64(np, np.uint64(root) ^ (ids * np.uint64(_PHI)))
+        ids *= np.uint64(_PHI)
+        ids ^= np.uint64(root)
+        return _np_mix64(np, ids, np.empty_like(ids))
 
 
 @lru_cache(maxsize=32)
@@ -81,26 +93,36 @@ def _py_bases(root: int, lo: int, hi: int) -> tuple[int, ...]:
                  for s in range(lo, hi))
 
 
-def _np_uniform_block(np, rng: StreamRNG, lo: int, hi: int,
-                      t0: int, t1: int):
-    """(t1-t0, hi-lo) float64 matrix of draw-0 uniforms."""
+def _np_top53_block(np, rng: StreamRNG, lo: int, hi: int,
+                    t0: int, t1: int):
+    """(t1-t0, hi-lo) uint64 matrix of the draw-0 states' top 53 bits."""
     bases = _np_bases(rng.root, lo, hi)
     with np.errstate(over="ignore"):
         slots = np.arange(t0, t1, dtype=np.uint64) * np.uint64(_PHI)
-        states = _np_mix64(np, _np_mix64(np, bases[None, :] ^ slots[:, None]))
-    return (states >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        states = bases[None, :] ^ slots[:, None]
+        scratch = np.empty_like(states)
+        _np_mix64(np, _np_mix64(np, states, scratch), scratch)
+    states >>= np.uint64(11)
+    return states
 
 
-def _py_uniform_block(rng: StreamRNG, lo: int, hi: int,
-                      t0: int, t1: int) -> list[list[float]]:
+def _py_top53_block(rng: StreamRNG, lo: int, hi: int,
+                    t0: int, t1: int) -> list[list[int]]:
     """Pure-Python counterpart with the same cached per-sensor bases."""
     bases = _py_bases(rng.root, lo, hi)
     rows = []
     for t in range(t0, t1):
         tk = (t * _PHI) & _MASK64
-        rows.append([(_mix64(_mix64(b ^ tk)) >> 11) * _INV_2_53
-                     for b in bases])
+        rows.append([_mix64(_mix64(b ^ tk)) >> 11 for b in bases])
     return rows
+
+
+def _threshold_53(p: float) -> int:
+    """``ceil(p * 2^53)`` clamped to ``[0, 2^53]``: for every 53-bit
+    integer ``k``, ``k * 2^-53 < p`` iff ``k < _threshold_53(p)``."""
+    if not p > 0:  # also NaN, which no uniform is below
+        return 0
+    return math.ceil(p * 2.0 ** 53) if p < 1 else 1 << 53
 
 
 def uniform_block_range(rng: StreamRNG, lo: int, hi: int,
@@ -112,17 +134,23 @@ def uniform_block_range(rng: StreamRNG, lo: int, hi: int,
     sensor axis reproduce the serial matrix column-for-column.
     """
     if active_backend() == "numpy":
-        return _np_uniform_block(numpy_module(), rng, lo, hi, t0, t1)
-    return _py_uniform_block(rng, lo, hi, t0, t1)
+        np = numpy_module()
+        block = _np_top53_block(np, rng, lo, hi, t0, t1).astype(np.float64)
+        block *= _INV_2_53
+        return block
+    return [[k * _INV_2_53 for k in row]
+            for row in _py_top53_block(rng, lo, hi, t0, t1)]
 
 
 def bernoulli_block_range(rng: StreamRNG, lo: int, hi: int,
                           t0: int, t1: int, p: float):
     """``uniform(i, t) < p`` for the sensor id range ``lo..hi-1``."""
+    threshold = _threshold_53(p)
     if active_backend() == "numpy":
-        return _np_uniform_block(numpy_module(), rng, lo, hi, t0, t1) < p
-    return [[u < p for u in row]
-            for row in _py_uniform_block(rng, lo, hi, t0, t1)]
+        np = numpy_module()
+        return _np_top53_block(np, rng, lo, hi, t0, t1) < np.uint64(threshold)
+    return [[k < threshold for k in row]
+            for row in _py_top53_block(rng, lo, hi, t0, t1)]
 
 
 # ----------------------------------------------------------------------

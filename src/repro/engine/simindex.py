@@ -46,6 +46,7 @@ class AdjacencyIndex:
         self.edge_receivers = tuple(edge_receivers)
         self.num_edges = len(edge_senders)
         self._numpy_cache = None
+        self._csr_cache = None
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -66,6 +67,22 @@ class AdjacencyIndex:
                 np.asarray(self.edge_receivers, dtype=np.intp),
             )
         return self._numpy_cache
+
+    def csr_arrays(self):
+        """``(offsets, degrees)`` of each sender's run in the edge arrays.
+
+        Edges are stored sender-major, so sender ``s`` owns
+        ``edge_receivers[offsets[s]:offsets[s] + degrees[s]]``.  Cached
+        numpy arrays, built on first use.
+        """
+        np = numpy_module()
+        if self._csr_cache is None:
+            degrees = np.fromiter((len(ids) for ids in self.receivers),
+                                  dtype=np.intp, count=len(self.receivers))
+            offsets = np.zeros_like(degrees)
+            np.cumsum(degrees[:-1], out=offsets[1:])
+            self._csr_cache = (offsets, degrees)
+        return self._csr_cache
 
     def __repr__(self) -> str:
         return (f"AdjacencyIndex({len(self.positions)} sensors, "

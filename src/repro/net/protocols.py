@@ -248,8 +248,8 @@ class ProtocolContext:
     """What a named protocol may need from its deployment.
 
     Attributes:
-        positions: the network's sensor positions (``tdma`` needs them
-            for its one-slot-per-sensor round).
+        positions: the network's sensor positions, as given (``tdma``
+            needs them for its one-slot-per-sensor round).
         schedule: a periodic schedule (``schedule`` wraps it in a
             :class:`ScheduleMAC`).
     """
@@ -258,11 +258,20 @@ class ProtocolContext:
     schedule: Schedule | None = None
 
     def require_positions(self, name: str) -> tuple[IntVec, ...]:
+        """The positions as canonical integer vectors.
+
+        Coerced here rather than in :func:`make_protocol`, so protocols
+        that never ask for them do not pay for validating every sensor.
+
+        Raises:
+            ValueError: when no positions were supplied.
+            TypeError: when a coordinate is not integral.
+        """
         if self.positions is None:
             raise ValueError(
                 f"protocol {name!r} needs the sensor positions; resolve it "
                 f"through a network-aware caller (simulate / Session)")
-        return self.positions
+        return tuple(as_intvec(p) for p in self.positions)
 
     def require_schedule(self, name: str) -> Schedule:
         if self.schedule is None:
@@ -325,7 +334,7 @@ def make_protocol(name: str, /, *,
     Args:
         name: a registered name (see :func:`protocol_names`).
         positions: sensor positions, for protocols that need the
-            deployment (``tdma``).
+            deployment (``tdma``); validated only when one asks for them.
         schedule: a schedule, for ``schedule``-driven MACs.
         **params: forwarded to the factory (e.g. ``p=0.2`` for
             ``aloha``/``csma``).
@@ -341,8 +350,7 @@ def make_protocol(name: str, /, *,
         raise KeyError(
             f"unknown protocol {name!r}; known: {known}") from None
     context = ProtocolContext(
-        positions=None if positions is None
-        else tuple(as_intvec(p) for p in positions),
+        positions=None if positions is None else tuple(positions),
         schedule=schedule)
     return factory(context, **params)
 

@@ -13,14 +13,19 @@ represented by an integer t").  Each slot:
    paper's introduction highlights.
 
 Traffic model: every sensor generates one broadcast packet every
-``packet_interval`` slots (deterministic sensing reports), queued FIFO.
+``packet_interval`` slots (deterministic sensing reports), queued FIFO,
+so each queue is a counter: of the ``created`` packets every sensor has
+made, sensor ``i`` has delivered ``delivered[i]``; it is backlogged iff
+``delivered[i] < created``, and its head packet was made at slot
+``delivered[i] * packet_interval``.
 
 Execution runs on the bulk engine: the network topology is frozen once
 into the dense-id adjacency of :class:`repro.engine.simindex`, the two
 collision rules reduce to coverage *counts* over that adjacency (a sensor
 is jammed iff >= 2 transmitters cover it; it hears something iff >= 1
-does), and purely periodic protocols expose a slot table so per-slot MAC
-decisions become one comparison per sensor.  Random protocols go through
+does; only the transmitters' CSR rows are visited), and purely periodic
+protocols expose a slot table so per-slot MAC decisions become one
+comparison per sensor.  Random protocols go through
 :meth:`repro.net.protocols.MACProtocol.decision_block`: decisions for a
 whole window of slots are drawn at once from a counter-based
 :class:`repro.utils.rng.StreamRNG` keyed by ``(seed, sensor, slot)``, so
@@ -43,7 +48,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import nullcontext
 
 from repro.engine.backend import numpy_module
@@ -129,8 +133,8 @@ class BroadcastSimulator:
         self._positions = network.positions
         self._n = len(self._positions)
         self._adjacency = network.adjacency_index()
-        # FIFO of packet creation times per sensor, by dense id.
-        self._queues: list[deque[int]] = [deque() for _ in range(self._n)]
+        # Packets made per sensor; ``_delivered[i]`` counts sensor i's sent.
+        self._created = 0
         self._heard = [False] * self._n
         # Purely periodic protocols publish their decisions as a slot
         # table; errors (e.g. a schedule not covering every position)
@@ -182,17 +186,16 @@ class BroadcastSimulator:
         # run() advances this so windows never precompute past the
         # requested horizon; step() callers keep the unbounded default.
         self._decision_horizon: int | None = None
-        self._np = (numpy_module()
-                    if config.resolve_backend() == "numpy" else None)
-        if self._np is not None:
-            np = self._np
-            self._edge_senders, self._edge_receivers = \
-                self._adjacency.edge_arrays()
+        self._np = np = (numpy_module()
+                         if config.resolve_backend() == "numpy" else None)
+        if np is not None:
+            self._offsets, self._degrees = self._adjacency.csr_arrays()
+            self._edge_receivers = self._adjacency.edge_arrays()[1]
             self._slot_array = (np.asarray(self._slot_table, dtype=np.int64)
                                 if self._slot_table is not None else None)
-            self._backlogged = np.zeros(self._n, dtype=bool)
+            self._delivered = np.zeros(self._n, dtype=np.int64)
         else:
-            self._backlogged = [False] * self._n
+            self._delivered = [0] * self._n
         self._time = 0
 
     # ------------------------------------------------------------------
@@ -203,7 +206,9 @@ class BroadcastSimulator:
 
     def pending_packets(self) -> int:
         """Packets still queued across all sensors."""
-        return sum(len(q) for q in self._queues)
+        delivered = self._delivered
+        return self._created * self._n - int(
+            sum(delivered) if self._np is None else delivered.sum())
 
     def _applied(self):
         """Context applying the explicit config fields, if there are any.
@@ -222,52 +227,47 @@ class BroadcastSimulator:
     def step(self) -> list[IntVec]:
         """Advance one slot; returns the sensors that transmitted."""
         with self._applied():
-            return self._step()
+            transmitters = self._step()
+        ids = transmitters.tolist() if self._np is not None else transmitters
+        return [self._positions[i] for i in ids]
 
-    def _step(self) -> list[IntVec]:
+    def _step(self):
+        """One slot; returns the transmitters' ascending dense ids."""
         time = self._time
         metrics = self.metrics
         n = self._n
         np = self._np
-        queues = self._queues
-        # Traffic generation.
-        if time % self.packet_interval == 0:
-            for queue in queues:
-                queue.append(time)
+        interval = self.packet_interval
+        if time % interval == 0:  # traffic generation
+            self._created += 1
             metrics.packets_created += n
-            if np is not None:
-                self._backlogged[:] = True
-            else:
-                self._backlogged = [True] * n
+        created, delivered = self._created, self._delivered
 
-        # MAC decisions (only backlogged sensors transmit).
-        backlogged = self._backlogged
-        if self._slot_table is not None:
-            slot = time % self._round_length
-            if np is not None:
-                transmitters = np.nonzero(
-                    backlogged & (self._slot_array == slot))[0].tolist()
-            else:
-                table = self._slot_table
-                transmitters = [i for i in range(n)
-                                if backlogged[i] and table[i] == slot]
-        else:
+        # MAC decisions: only backlogged sensors (delivered < created) send.
+        if self._slot_table is None:
             row = self._decision_row(time)
-            if np is not None:
-                if not isinstance(row, np.ndarray):
-                    row = np.asarray(row, dtype=bool)
-                transmitters = np.nonzero(backlogged & row)[0].tolist()
-            else:
-                transmitters = [i for i in range(n)
-                                if backlogged[i] and row[i]]
+        elif np is not None:
+            row = self._slot_array == time % self._round_length
+        else:
+            slot = time % self._round_length
+            row = [s == slot for s in self._slot_table]
+        if np is not None:
+            candidates = np.asarray(row).nonzero()[0]
+            transmitters = candidates[delivered[candidates] < created]
+        else:
+            transmitters = [i for i, d in enumerate(row)
+                            if d and delivered[i] < created]
         # Flaky injection seam: an armed FaultPlan silently drops
         # scheduled transmissions, keyed purely by ``(sensor, slot)`` —
         # both backends build the same ascending dense-id transmitter
         # list, so the drops replay identically.  Unarmed this is a
         # single None check per slot.
         plan = _active_plan()
-        if plan is not None and plan.flaky > 0.0 and transmitters:
-            transmitters = plan.filter_transmitters(transmitters, time)
+        if plan is not None and plan.flaky > 0.0 and len(transmitters):
+            kept = plan.filter_transmitters(
+                transmitters if np is None else transmitters.tolist(), time)
+            transmitters = kept if np is None else np.asarray(kept,
+                                                              dtype=np.intp)
         num_transmitters = len(transmitters)
         metrics.transmissions += num_transmitters
         metrics.energy_transmit += \
@@ -277,40 +277,48 @@ class BroadcastSimulator:
         # lost iff it transmits itself (rule 1) or >= 2 transmitters
         # cover it (rule 2, where "cover" counts the sender too).
         if np is not None:
-            is_tx = np.zeros(n, dtype=bool)
-            is_tx[transmitters] = True
-            tx_edges = is_tx[self._edge_senders]
-            receivers = self._edge_receivers[tx_edges]
+            degrees = self._degrees[transmitters]
+            ends = degrees.cumsum()
+            total_receptions = int(ends[-1]) if num_transmitters else 0
+            # Edge ids of the transmitters' CSR rows, concatenated.
+            edges = (self._offsets[transmitters] - ends + degrees).repeat(
+                degrees)
+            edges += np.arange(total_receptions)
+            receivers = self._edge_receivers[edges]
             counts = np.bincount(receivers, minlength=n)
-            failed_edges = is_tx[receivers] | (counts[receivers] > 1)
-            metrics.failed_receptions += int(failed_edges.sum())
-            fail_per_sender = np.bincount(
-                self._edge_senders[tx_edges][failed_edges], minlength=n)
-            for i in transmitters:
-                if not fail_per_sender[i]:
-                    self._complete_broadcast(i, time)
+            lost = counts > 1
+            lost[transmitters] = True
+            # failures[e]: failed receptions among the first e edges, so
+            # a transmitter completes iff its row adds none.
+            failures = np.zeros(total_receptions + 1, dtype=np.intp)
+            lost[receivers].cumsum(out=failures[1:])
+            metrics.failed_receptions += int(failures[-1])
+            done = transmitters[failures[ends] == failures[ends - degrees]]
+            heads = delivered[done]
+            head_sum = int(heads.sum())
+            delivered[done] = heads + 1
             self._heard = counts > 0
-            total_receptions = int(counts.sum())
         else:
             receivers_of = self._adjacency.receivers
-            is_tx = [False] * n
-            for i in transmitters:
-                is_tx[i] = True
             counts = [0] * n
             for i in transmitters:
                 for receiver in receivers_of[i]:
                     counts[receiver] += 1
-            for i in transmitters:
-                failed = 0
-                for receiver in receivers_of[i]:
-                    if is_tx[receiver] or counts[receiver] > 1:
-                        failed += 1
-                if failed:
-                    metrics.failed_receptions += failed
-                else:
-                    self._complete_broadcast(i, time)
+            sending = set(transmitters)
+            failed = [sum(r in sending or counts[r] > 1
+                          for r in receivers_of[i]) for i in transmitters]
+            metrics.failed_receptions += sum(failed)
+            done = [i for i, f in zip(transmitters, failed) if not f]
+            head_sum = sum(delivered[i] for i in done)
+            for i in done:
+                delivered[i] += 1
             self._heard = [count > 0 for count in counts]
             total_receptions = sum(counts)
+        # A completed broadcast delivers its sender's head packet, made
+        # at slot delivered[i] * interval.
+        metrics.successful_broadcasts += len(done)
+        metrics.packets_delivered += len(done)
+        metrics.total_latency += len(done) * time - interval * head_sum
 
         # Non-transmit energy (counts already hold per-sensor receptions).
         model = self.energy_model
@@ -321,8 +329,7 @@ class BroadcastSimulator:
 
         self._time += 1
         metrics.slots = self._time
-        positions = self._positions
-        return [positions[i] for i in transmitters]
+        return transmitters
 
     def _decision_row(self, time: int):
         """This slot's MAC decisions, from the cached window if current.
@@ -343,16 +350,6 @@ class BroadcastSimulator:
             self._decision_rows = rows
             self._decision_t0 = t0
         return rows[time - t0]
-
-    def _complete_broadcast(self, sensor: int, time: int) -> None:
-        queue = self._queues[sensor]
-        created = queue.popleft()
-        if not queue:
-            self._backlogged[sensor] = False
-        metrics = self.metrics
-        metrics.successful_broadcasts += 1
-        metrics.packets_delivered += 1
-        metrics.total_latency += time - created
 
     def run(self, slots: int) -> SimulationMetrics:
         """Simulate the given number of slots and return the metrics."""

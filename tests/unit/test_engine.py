@@ -188,6 +188,20 @@ class TestAdjacencyIndex:
             assert sorted(coverers[i]) == expected
         assert index.num_edges == sum(len(r) for r in index.receivers)
 
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_csr_arrays_slice_each_senders_receivers(self):
+        # (9, 9) is out of everyone's range: a zero-degree row.
+        network = Network.homogeneous(
+            list(box_points((0, 0), (2, 2))) + [(9, 9)], plus_pentomino())
+        index = network.adjacency_index()
+        offsets, degrees = index.csr_arrays()
+        assert index.csr_arrays()[0] is offsets  # built once
+        receivers = index.edge_arrays()[1]
+        for i, ids in enumerate(index.receivers):
+            row = receivers[offsets[i]:offsets[i] + degrees[i]]
+            assert row.tolist() == list(ids)
+        assert degrees[index.index_of[(9, 9)]] == 0
+
 
 # ----------------------------------------------------------------------
 # Backend equivalence: collisions, slots, simulator

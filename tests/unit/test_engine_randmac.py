@@ -8,6 +8,8 @@ function of ``(seed, sensor, slot)`` through the counter-based
 ``StreamRNG``.
 """
 
+import math
+
 import pytest
 
 from repro.engine import (
@@ -93,6 +95,35 @@ class TestStreamKernels:
                 uniforms = _as_lists(uniform_block(rng, 8, 0, 6))
                 decisions = _as_lists(bernoulli_block(rng, 8, 0, 6, 0.4))
             assert decisions == [[u < 0.4 for u in row] for row in uniforms]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("p", [0.0, 2.0 ** -53, 0.1, 0.5,
+                                   1.0 - 2.0 ** -53, 1.0])
+    def test_bernoulli_block_equals_uniform_threshold(self, backend, p):
+        # The kernel compares the 53-bit integers against ceil(p * 2^53)
+        # instead of building floats; the decisions must not move.
+        rng = StreamRNG(2024)
+        with use_backend(backend):
+            uniforms = _as_lists(uniform_block(rng, 97, 3, 19))
+            decisions = _as_lists(bernoulli_block(rng, 97, 3, 19, p))
+        assert decisions == [[u < p for u in row] for row in uniforms]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bernoulli_threshold_exact_at_drawn_values(self, backend):
+        # p equal to a drawn uniform, or one ulp either side of it: the
+        # integer comparison must agree with the float one at the edge.
+        # Below 0.5 an ulp is finer than 2^-53, so p * 2^53 is not an
+        # integer there and rounding it the wrong way shows.
+        rng = StreamRNG(11)
+        with use_backend(backend):
+            uniforms = _as_lists(uniform_block(rng, 13, 0, 4))
+            drawn = [u for row in uniforms for u in row]
+            assert min(drawn) < 0.5
+            for u in (min(drawn), max(drawn)):
+                for p in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+                    decisions = _as_lists(bernoulli_block(rng, 13, 0, 4, p))
+                    assert decisions == [[v < p for v in row]
+                                         for row in uniforms]
 
     def test_masked_block_mutes_without_shifting_streams(self):
         rng = StreamRNG(2)

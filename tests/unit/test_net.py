@@ -11,6 +11,7 @@ from repro.net.protocols import (
     GlobalTDMA,
     ScheduleMAC,
     SlottedAloha,
+    make_protocol,
 )
 from repro.net.simulator import BroadcastSimulator, compare_protocols, simulate
 from repro.tiles.shapes import chebyshev_ball, plus_pentomino
@@ -76,6 +77,16 @@ class TestProtocols:
                        if mac.wants_to_send(p, time, False, rng)]
             assert len(senders) == 1
         assert mac.slots_per_round() == 4
+
+    def test_tdma_rejects_non_integral_position(self):
+        with pytest.raises(TypeError,
+                           match="coordinate is not an integer: 0.5"):
+            make_protocol("tdma", positions=[(0, 0), (0.5, 1)])
+
+    def test_positions_validated_only_when_required(self):
+        # aloha never reads the positions, so it does not coerce them.
+        mac = make_protocol("aloha", positions=[(0.5, 1)], p=0.1)
+        assert isinstance(mac, SlottedAloha)
 
     def test_aloha_probability_bounds(self):
         with pytest.raises(ValueError):
